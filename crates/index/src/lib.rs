@@ -264,12 +264,14 @@ impl CascadeIndex {
 
     /// A 64-bit cache key identifying the index that [`build`](Self::build)
     /// would produce for `(pg, config)`, computable **without** building
-    /// it. Combines the graph fingerprint with every config field that
-    /// changes index contents (`threads` is excluded: builds are
-    /// thread-count invariant). `soi serve` keys its index cache on this.
-    pub fn cache_key(pg: &ProbGraph, config: &IndexConfig) -> u64 {
+    /// it, given `graph_fingerprint = pg.fingerprint()`. Combines the
+    /// graph fingerprint with every config field that changes index
+    /// contents (`threads` is excluded: builds are thread-count
+    /// invariant). `soi serve` keys its index cache on this, passing the
+    /// fingerprint it hashed once when the graph was loaded.
+    pub fn cache_key(graph_fingerprint: u64, config: &IndexConfig) -> u64 {
         let mut h = soi_util::hash::Mix64Hasher::new();
-        h.update_u64(pg.fingerprint());
+        h.update_u64(graph_fingerprint);
         h.update_u64(config.num_worlds as u64);
         h.update_u64(config.seed);
         h.update_u64(config.transitive_reduction as u64);
@@ -567,20 +569,24 @@ mod tests {
 
     #[test]
     fn cache_key_tracks_content_inputs_only() {
-        let pg = test_graph(1);
+        let fp = test_graph(1).fingerprint();
         let config = IndexConfig {
             num_worlds: 8,
             seed: 5,
             transitive_reduction: true,
             threads: 1,
         };
-        let base = CascadeIndex::cache_key(&pg, &config);
+        let base = CascadeIndex::cache_key(fp, &config);
+        // Pinned: the key derived from `ProbGraph::fingerprint` for this
+        // graph and config. A change here re-keys every serving cache.
+        assert_eq!(fp, 0x2599_9751_8a77_9ecf);
+        assert_eq!(base, 0x18c7_52c8_8582_8a2d);
         // Thread count never changes index contents, so it never changes
         // the key; every content-bearing input does.
         assert_eq!(
             base,
             CascadeIndex::cache_key(
-                &pg,
+                fp,
                 &IndexConfig {
                     threads: 4,
                     ..config
@@ -590,7 +596,7 @@ mod tests {
         assert_ne!(
             base,
             CascadeIndex::cache_key(
-                &pg,
+                fp,
                 &IndexConfig {
                     num_worlds: 9,
                     ..config
@@ -599,19 +605,22 @@ mod tests {
         );
         assert_ne!(
             base,
-            CascadeIndex::cache_key(&pg, &IndexConfig { seed: 6, ..config })
+            CascadeIndex::cache_key(fp, &IndexConfig { seed: 6, ..config })
         );
         assert_ne!(
             base,
             CascadeIndex::cache_key(
-                &pg,
+                fp,
                 &IndexConfig {
                     transitive_reduction: false,
                     ..config
                 }
             )
         );
-        assert_ne!(base, CascadeIndex::cache_key(&test_graph(2), &config));
+        assert_ne!(
+            base,
+            CascadeIndex::cache_key(test_graph(2).fingerprint(), &config)
+        );
     }
 
     #[test]

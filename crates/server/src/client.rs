@@ -96,10 +96,7 @@ pub fn send_one(host: &str, port: u16, line: &str) -> Result<String, SoiError> {
     let mut writer = stream
         .try_clone()
         .map_err(|e| SoiError::io("clone stream", e))?;
-    writeln!(writer, "{line}").map_err(|e| SoiError::io("send request", e))?;
-    writer
-        .flush()
-        .map_err(|e| SoiError::io("send request", e))?;
+    protocol::write_line(&mut writer, line).map_err(|e| SoiError::io("send request", e))?;
     let mut reader = BufReader::new(stream);
     let mut response = String::new();
     reader
@@ -237,10 +234,7 @@ impl Lane {
             let Some((mut stream, mut reader)) = self.conn.take() else {
                 continue;
             };
-            if writeln!(stream, "{request}")
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
+            if protocol::write_line(&mut stream, request).is_err() {
                 self.retry_or_die(&mut attempt, 0);
                 continue;
             }

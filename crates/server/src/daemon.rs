@@ -15,15 +15,16 @@
 //! so their threads observe EOF, and all threads are joined. The CLI
 //! then flushes the final metrics report.
 
+use crate::conns::Connections;
 use crate::engine::ServerEngine;
 use crate::protocol::{self, Envelope, Request, DEFAULT_MAX_LINE};
 use crate::trace::{PhaseTrace, SlowLog};
 use crate::worker::{self, Job, PoolHandle, WorkerPool};
 use soi_util::{ProtoErrorKind, SoiError};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 /// Version tag of the extended `stats` payload: the flat fields are
@@ -310,10 +311,7 @@ fn handle_line<W: Write>(
         }
     };
     soi_util::failpoint_crash!("server.response.write");
-    if writeln!(writer, "{response}")
-        .and_then(|()| writer.flush())
-        .is_err()
-    {
+    if protocol::write_line(writer, &response).is_err() {
         soi_obs::counter_add!("server.client_disconnects", 1);
         return Step::Disconnect;
     }
@@ -321,20 +319,6 @@ fn handle_line<W: Write>(
         Step::Shutdown
     } else {
         Step::Continue
-    }
-}
-
-/// Shuts the socket down when the connection thread exits — including
-/// by unwinding (an armed `server.response.write` panic failpoint). The
-/// accept loop keeps its own clone of every stream for drain, so merely
-/// dropping this thread's handles would leave the underlying socket
-/// open and the client blocked forever on a response that will never
-/// come; `shutdown(Both)` reaches the socket itself, past every clone.
-struct ConnGuard(TcpStream);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        let _ = self.0.shutdown(Shutdown::Both);
     }
 }
 
@@ -349,10 +333,6 @@ fn handle_conn(
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let Ok(guard_stream) = stream.try_clone() else {
-        return;
-    };
-    let _guard = ConnGuard(guard_stream);
     let mut reader = BufReader::new(stream);
     let submit = |envelope: Envelope, trace: PhaseTrace| -> String {
         let id = envelope.id;
@@ -393,10 +373,7 @@ fn handle_conn(
                     ),
                 };
                 let resp = protocol::encode_error(None, &err);
-                if writeln!(writer, "{resp}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if protocol::write_line(&mut writer, &resp).is_err() {
                     soi_obs::counter_add!("server.client_disconnects", 1);
                     return;
                 }
@@ -453,8 +430,7 @@ pub fn run_tcp<W: Write>(
     };
     let pool = WorkerPool::start_with(Arc::clone(&engine), workers, config.queue_cap, slow);
     let shutdown = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut conn_threads = Vec::new();
+    let mut conns = Connections::new(soi_obs::gauge("server.connections_live"));
 
     for stream in listener.incoming() {
         // ordering: SeqCst pairs with the store in the shutdown step;
@@ -465,31 +441,20 @@ pub fn run_tcp<W: Write>(
         let Ok(stream) = stream else {
             continue;
         };
-        if let Ok(clone) = stream.try_clone() {
-            conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(clone);
-        }
         let engine = Arc::clone(&engine);
         let handle = pool.handle();
         let shutdown = Arc::clone(&shutdown);
         let max_line = config.max_line;
-        conn_threads.push(std::thread::spawn(move || {
+        conns.spawn(stream, move |stream| {
             handle_conn(stream, engine, handle, shutdown, addr, max_line);
-        }));
+        });
     }
     drop(listener);
 
     // Graceful drain: finish queued + in-flight jobs (responses still
     // flow to their connections), then unblock idle readers and join.
     pool.shutdown();
-    for stream in conns.lock().unwrap_or_else(PoisonError::into_inner).iter() {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    for thread in conn_threads {
-        let _ = thread.join();
-    }
+    conns.drain();
     soi_obs::event!(soi_obs::Level::Info, "drained; shutting down");
     Ok(())
 }
@@ -526,7 +491,7 @@ pub fn run_stdio<R: BufRead, W: Write>(
                         "request line is not valid UTF-8",
                     ),
                 };
-                writeln!(out, "{}", protocol::encode_error(None, &err))
+                protocol::write_line(out, &protocol::encode_error(None, &err))
                     .map_err(|e| SoiError::io("stdout", e))?;
                 continue;
             }
@@ -667,6 +632,56 @@ mod tests {
         );
         assert!(lines[0].contains("\"id\":null"), "{}", lines[0]);
         assert!(lines[1].contains("\"ok\":true"), "{}", lines[1]);
+    }
+
+    /// Counts `write` calls: each is one segment handed to a socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn handle_line_sends_each_answer_in_one_write() {
+        // The write passes the `server.response.write` failpoint site.
+        let _g = soi_util::failpoint::test_guard();
+        let engine = engine();
+        let submit = |envelope: Envelope, _trace: PhaseTrace| {
+            protocol::encode_ok(envelope.id, "\"sphere\":[0]", 0)
+        };
+        let mut writer = CountingWriter::default();
+        for (n, line) in [
+            "{\"v\":1,\"id\":1,\"type\":\"typical-cascade\",\"graph\":\"g\",\"source\":0}",
+            "{\"v\":1,\"id\":2,\"type\":\"health\"}",
+            "not json at all",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert!(matches!(
+                handle_line(&engine, None, line, &submit, &mut writer),
+                Step::Continue
+            ));
+            assert_eq!(
+                writer.writes,
+                n + 1,
+                "one write per answer, line and newline"
+            );
+            assert_eq!(writer.bytes.last(), Some(&b'\n'));
+        }
+        assert_eq!(String::from_utf8_lossy(&writer.bytes).lines().count(), 3);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! [`ServerEngine::warm`]) and kept in an LRU cache keyed by
 //! [`CascadeIndex::cache_key`], so repeated queries against the same
 //! graph reuse the ℓ sampled worlds instead of resampling — the whole
-//! point of a long-lived daemon over one-shot CLI runs.
+//! point of a long-lived daemon over one-shot CLI runs. Each graph's
+//! fingerprint is hashed once, at load, so a warm hit costs a map
+//! lookup rather than an O(|V|+|E|) rehash.
 //!
 //! Deadlines are deterministic tick budgets ([`Deadline`]): a query that
 //! runs out of budget returns a well-formed `partial` response covering
@@ -97,9 +99,16 @@ impl ExecOutput {
     }
 }
 
+/// A loaded graph and its [`ProbGraph::fingerprint`], hashed once by
+/// [`ServerEngine::add_graph`]: every oracle cache key starts from it.
+struct LoadedGraph {
+    pg: Arc<ProbGraph>,
+    fingerprint: u64,
+}
+
 /// Loaded graphs plus the warm spread-oracle cache.
 pub struct ServerEngine {
-    graphs: BTreeMap<String, Arc<ProbGraph>>,
+    graphs: BTreeMap<String, LoadedGraph>,
     /// One LRU for both backends. Keys mix the backend tag into the
     /// backend-specific cache key ([`mixed_key`]), so the key is
     /// (graph fingerprint, backend, build params) and a sketch entry can
@@ -146,9 +155,17 @@ impl ServerEngine {
 
     /// Registers a graph under `name` (replacing any previous binding —
     /// the cache key includes the graph fingerprint, so stale indexes
-    /// can never serve the new graph).
+    /// can never serve the new graph). The fingerprint is hashed here,
+    /// once, and reused by every later cache lookup.
     pub fn add_graph(&mut self, name: impl Into<String>, pg: ProbGraph) {
-        self.graphs.insert(name.into(), Arc::new(pg));
+        let fingerprint = pg.fingerprint();
+        self.graphs.insert(
+            name.into(),
+            LoadedGraph {
+                pg: Arc::new(pg),
+                fingerprint,
+            },
+        );
     }
 
     /// Names of the loaded graphs, sorted.
@@ -194,7 +211,7 @@ impl ServerEngine {
         }
     }
 
-    fn graph(&self, name: &str) -> Result<&Arc<ProbGraph>, SoiError> {
+    fn graph(&self, name: &str) -> Result<&LoadedGraph, SoiError> {
         self.graphs.get(name).ok_or_else(|| {
             SoiError::protocol(
                 ProtoErrorKind::UnknownGraph,
@@ -252,13 +269,9 @@ impl ServerEngine {
         sketch_k: Option<usize>,
         degrade: bool,
     ) -> Result<(SpreadBackend, bool, bool), SoiError> {
-        let pg = self.graph(name)?;
+        let loaded = self.graph(name)?;
         let k = sketch_k.unwrap_or(self.config.sketch_k);
-        let inner = match kind {
-            BackendKind::Cascade => CascadeIndex::cache_key(pg, &self.index_config()),
-            BackendKind::Sketch => ReachSketches::cache_key(pg, &self.sketch_config(k)),
-        };
-        let key = mixed_key(kind, inner);
+        let key = self.oracle_key(loaded.fingerprint, kind, k);
         let last_key = (name.to_string(), kind.tag(), last_good_k(kind, k));
         {
             // Waiting on the cache mutex is the engine's contention
@@ -273,7 +286,7 @@ impl ServerEngine {
             }
         }
         soi_obs::counter_add!("server.cache_misses", 1);
-        match self.build_backend(pg, kind, k, key, &last_key) {
+        match self.build_backend(&loaded.pg, kind, k, key, &last_key) {
             Ok(backend) => Ok((backend, false, true)),
             Err(err) => {
                 if degrade {
@@ -292,6 +305,20 @@ impl ServerEngine {
                 Err(err)
             }
         }
+    }
+
+    /// The shared-LRU key of the (`kind`, `k`) oracle over the graph
+    /// with fingerprint `graph_fingerprint`.
+    fn oracle_key(&self, graph_fingerprint: u64, kind: BackendKind, k: usize) -> u64 {
+        let inner = match kind {
+            BackendKind::Cascade => {
+                CascadeIndex::cache_key(graph_fingerprint, &self.index_config())
+            }
+            BackendKind::Sketch => {
+                ReachSketches::cache_key(graph_fingerprint, &self.sketch_config(k))
+            }
+        };
+        mixed_key(kind, inner)
     }
 
     fn build_backend(
@@ -411,7 +438,7 @@ impl ServerEngine {
                 backend,
                 sketch_k,
             } => {
-                let pg = self.graph(graph)?;
+                let pg = &self.graph(graph)?.pg;
                 if let Some(&bad) = seeds.iter().find(|&&s| (s as usize) >= pg.num_nodes()) {
                     return Err(SoiError::protocol(
                         ProtoErrorKind::BadField,
@@ -591,8 +618,8 @@ impl ServerEngine {
         let SpreadBackend::Sketch(sk) = &oracle else {
             return Err(SoiError::invalid("sketch lookup returned a cascade index"));
         };
-        let pg = self.graph(graph)?;
-        if sk.graph_fingerprint() != pg.fingerprint() {
+        let loaded = self.graph(graph)?;
+        if sk.graph_fingerprint() != loaded.fingerprint {
             // A stale sketch from a different graph revision cannot
             // drive selection: the coverage BFS re-derives the worlds
             // the sketches were built over, which belong to the old
@@ -604,7 +631,7 @@ impl ServerEngine {
         }
         let deadline = self.deadline(deadline_ticks);
         let compute_start = std::time::Instant::now();
-        let outcome = soi_sketch::select_seeds(pg, sk, k, &deadline);
+        let outcome = soi_sketch::select_seeds(&loaded.pg, sk, k, &deadline);
         let run = outcome.value_ref();
         let coverage: Vec<String> = run.coverage.iter().map(|&c| fmt_num(c)).collect();
         let payload = format!(
@@ -898,6 +925,36 @@ mod tests {
             })
             .expect("roomy");
         assert!(!roomy.payload.contains("degraded"), "{}", roomy.payload);
+    }
+
+    #[test]
+    fn add_graph_hashes_once_and_rebinding_refreshes_the_fingerprint() {
+        let mut engine = engine();
+        let first = engine.graphs["g"].fingerprint;
+        assert_eq!(first, engine.graphs["g"].pg.fingerprint());
+        // Both backends key on the stored value exactly as they would on
+        // a fresh `ProbGraph::fingerprint`.
+        let pg = &engine.graphs["g"].pg;
+        assert_eq!(
+            engine.oracle_key(first, BackendKind::Cascade, 0),
+            mixed_key(
+                BackendKind::Cascade,
+                CascadeIndex::cache_key(pg.fingerprint(), &engine.index_config())
+            )
+        );
+        assert_eq!(
+            engine.oracle_key(first, BackendKind::Sketch, 32),
+            mixed_key(
+                BackendKind::Sketch,
+                ReachSketches::cache_key(pg.fingerprint(), &engine.sketch_config(32))
+            )
+        );
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(11);
+        let pg2 = ProbGraph::fixed(gen::gnm(40, 120, &mut rng), 0.3).expect("graph2");
+        let second = pg2.fingerprint();
+        assert_ne!(first, second);
+        engine.add_graph("g", pg2);
+        assert_eq!(engine.graphs["g"].fingerprint, second);
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 pub mod cache;
 pub mod client;
+mod conns;
 pub mod daemon;
 pub mod engine;
 pub mod json;

@@ -105,8 +105,14 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    // Every push records into the process-global
+    // `server.queue_depth_at_enqueue` histogram, so each test that pushes
+    // holds the crate's shared test lock, as the worker-pool tests (the
+    // crate's other enqueuers) do. Otherwise a parallel push lands
+    // between the two reads below.
     #[test]
     fn push_records_depth_distribution() {
+        let _g = soi_util::failpoint::test_guard();
         let q = Bounded::new(8);
         let before = soi_obs::wall_hist("server.queue_depth_at_enqueue")
             .snapshot()
@@ -120,6 +126,7 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_item() {
+        let _g = soi_util::failpoint::test_guard();
         let q = Bounded::new(2);
         assert!(q.push(1).is_ok());
         assert!(q.push(2).is_ok());
@@ -132,6 +139,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_exhausts() {
+        let _g = soi_util::failpoint::test_guard();
         let q = Bounded::new(4);
         q.push(1).map_err(|_| ()).expect("push");
         q.push(2).map_err(|_| ()).expect("push");
@@ -147,6 +155,7 @@ mod tests {
 
     #[test]
     fn pop_blocks_until_item_or_close() {
+        let _g = soi_util::failpoint::test_guard();
         let q = Arc::new(Bounded::new(1));
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
@@ -163,6 +172,7 @@ mod tests {
 
     #[test]
     fn many_producers_one_consumer() {
+        let _g = soi_util::failpoint::test_guard();
         let q = Arc::new(Bounded::new(64));
         std::thread::scope(|s| {
             for t in 0..4 {

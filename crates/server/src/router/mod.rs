@@ -41,6 +41,7 @@
 pub mod shard;
 
 use crate::client;
+use crate::conns::Connections;
 use crate::daemon::{self, read_line_capped, LineRead};
 use crate::json::{self, Value};
 use crate::protocol::{self, Request, DEFAULT_MAX_LINE};
@@ -50,10 +51,10 @@ use soi_util::hash::Mix64Hasher;
 use soi_util::{ProtoErrorKind, SoiError};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Largest single backoff sleep between replica attempts (ticks ≈ ms).
@@ -282,10 +283,7 @@ fn forward(
             }
         };
         soi_util::failpoint_crash!("router.forward.write");
-        if writeln!(stream, "{line}")
-            .and_then(|()| stream.flush())
-            .is_err()
-        {
+        if protocol::write_line(&mut stream, line).is_err() {
             retry(state, &mut attempt, shard_idx, replica_idx);
             continue;
         }
@@ -529,12 +527,6 @@ fn handle_conn(
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let Ok(guard_stream) = stream.try_clone() else {
-        return;
-    };
-    // Same discipline as the daemon: reach the socket past every clone
-    // when this thread exits, including by unwinding.
-    let _guard = ConnGuard(guard_stream);
     let mut reader = BufReader::new(stream);
     // Per-shard cached connections for this client connection.
     let mut conns: Vec<Option<(usize, TcpStream, BufReader<TcpStream>)>> =
@@ -558,10 +550,7 @@ fn handle_conn(
                     ),
                 };
                 let resp = protocol::encode_error(None, &err);
-                if writeln!(writer, "{resp}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if protocol::write_line(&mut writer, &resp).is_err() {
                     return;
                 }
                 continue;
@@ -597,10 +586,7 @@ fn handle_conn(
             }
         };
         soi_util::failpoint_crash!("router.response.write");
-        if writeln!(writer, "{response}")
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if protocol::write_line(&mut writer, &response).is_err() {
             return;
         }
         if is_shutdown {
@@ -609,16 +595,6 @@ fn handle_conn(
             shutdown.store(true, Ordering::SeqCst);
             let _ = TcpStream::connect(addr);
         }
-    }
-}
-
-/// See [`crate::daemon`]: shuts the socket down when the connection
-/// thread exits, past every clone.
-struct ConnGuard(TcpStream);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        let _ = self.0.shutdown(Shutdown::Both);
     }
 }
 
@@ -705,8 +681,7 @@ pub fn run_router<W: Write>(config: &RouterConfig, out: &mut W) -> Result<(), So
             }
         })
     });
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut conn_threads = Vec::new();
+    let mut conns = Connections::new(soi_obs::gauge("router.connections_live"));
     for stream in listener.incoming() {
         // ordering: SeqCst pairs with the store in the shutdown step.
         if shutdown.load(Ordering::SeqCst) {
@@ -715,29 +690,18 @@ pub fn run_router<W: Write>(config: &RouterConfig, out: &mut W) -> Result<(), So
         let Ok(stream) = stream else {
             continue;
         };
-        if let Ok(clone) = stream.try_clone() {
-            conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(clone);
-        }
         let state = Arc::clone(&state);
         let shutdown = Arc::clone(&shutdown);
         let max_line = config.max_line;
-        conn_threads.push(std::thread::spawn(move || {
+        conns.spawn(stream, move |stream| {
             handle_conn(stream, state, shutdown, addr, max_line);
-        }));
+        });
     }
     drop(listener);
 
     // Graceful drain: stop reading new requests; in-flight relays have
     // already resolved their shard and complete normally.
-    for stream in conns.lock().unwrap_or_else(PoisonError::into_inner).iter() {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    for thread in conn_threads {
-        let _ = thread.join();
-    }
+    conns.drain();
     if let Some(thread) = probe_thread {
         let _ = thread.join();
     }

@@ -334,11 +334,12 @@ impl ReachSketches {
     }
 
     /// A 64-bit cache key identifying the sketches [`build`](Self::build)
-    /// would produce for `(pg, config)`, computable without building.
-    /// `soi serve` keys its backend cache on this plus a backend tag.
-    pub fn cache_key(pg: &ProbGraph, config: &SketchConfig) -> u64 {
+    /// would produce for `(pg, config)`, computable without building,
+    /// given `graph_fingerprint = pg.fingerprint()`. `soi serve` keys its
+    /// backend cache on this plus a backend tag.
+    pub fn cache_key(graph_fingerprint: u64, config: &SketchConfig) -> u64 {
         let mut h = Mix64Hasher::new();
-        h.update_u64(pg.fingerprint());
+        h.update_u64(graph_fingerprint);
         h.update_u64(Self::config_fingerprint(config));
         h.finish()
     }
@@ -1046,21 +1047,25 @@ mod tests {
 
     #[test]
     fn cache_key_tracks_content_inputs_only() {
-        let pg = test_graph(1);
+        let fp = test_graph(1).fingerprint();
         let cfg = config(8, 16, 5, 1);
-        let base = ReachSketches::cache_key(&pg, &cfg);
+        let base = ReachSketches::cache_key(fp, &cfg);
+        // Pinned: the key derived from `ProbGraph::fingerprint` for this
+        // graph and config. A change here re-keys every serving cache.
+        assert_eq!(fp, 0x2599_9751_8a77_9ecf);
+        assert_eq!(base, 0x970d_e844_9aac_70e4);
         assert_eq!(
             base,
-            ReachSketches::cache_key(&pg, &SketchConfig { threads: 4, ..cfg })
+            ReachSketches::cache_key(fp, &SketchConfig { threads: 4, ..cfg })
         );
         assert_ne!(
             base,
-            ReachSketches::cache_key(&pg, &SketchConfig { k: 17, ..cfg })
+            ReachSketches::cache_key(fp, &SketchConfig { k: 17, ..cfg })
         );
         assert_ne!(
             base,
             ReachSketches::cache_key(
-                &pg,
+                fp,
                 &SketchConfig {
                     num_worlds: 9,
                     ..cfg
@@ -1069,9 +1074,12 @@ mod tests {
         );
         assert_ne!(
             base,
-            ReachSketches::cache_key(&pg, &SketchConfig { seed: 6, ..cfg })
+            ReachSketches::cache_key(fp, &SketchConfig { seed: 6, ..cfg })
         );
-        assert_ne!(base, ReachSketches::cache_key(&test_graph(2), &cfg));
+        assert_ne!(
+            base,
+            ReachSketches::cache_key(test_graph(2).fingerprint(), &cfg)
+        );
     }
 
     #[test]
