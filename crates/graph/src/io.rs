@@ -159,12 +159,21 @@ mod tests {
     use super::*;
     use crate::gen;
 
+    /// [`read_graph`] serialized on the failpoint test lock: the registry
+    /// is process-global, so a read running while
+    /// `injected_read_fault_surfaces_as_io_error` has `graph.io.read`
+    /// armed would fail spuriously.
+    fn read(input: &[u8]) -> Result<ParsedGraph, GraphError> {
+        let _g = soi_util::failpoint::test_guard();
+        read_graph(input)
+    }
+
     #[test]
     fn roundtrip_plain() {
         let g = gen::path(5);
         let mut buf = Vec::new();
         write_graph(&g, &mut buf).unwrap();
-        match read_graph(&buf[..]).unwrap() {
+        match read(&buf[..]).unwrap() {
             ParsedGraph::Plain(back) => assert_eq!(back, g),
             _ => panic!("expected plain"),
         }
@@ -175,7 +184,7 @@ mod tests {
         let pg = ProbGraph::weighted_cascade(gen::star(4));
         let mut buf = Vec::new();
         write_prob_graph(&pg, &mut buf).unwrap();
-        match read_graph(&buf[..]).unwrap() {
+        match read(&buf[..]).unwrap() {
             ParsedGraph::Probabilistic(back) => assert_eq!(back, pg),
             _ => panic!("expected probabilistic"),
         }
@@ -184,7 +193,7 @@ mod tests {
     #[test]
     fn declared_nodes_preserves_isolated_tail() {
         let input = b"# nodes: 10\n0\t1\n" as &[u8];
-        match read_graph(input).unwrap() {
+        match read(input).unwrap() {
             ParsedGraph::Plain(g) => {
                 assert_eq!(g.num_nodes(), 10);
                 assert_eq!(g.num_edges(), 1);
@@ -196,7 +205,7 @@ mod tests {
     #[test]
     fn inferred_nodes_without_header() {
         let input = b"0 5\n2 3\n" as &[u8];
-        match read_graph(input).unwrap() {
+        match read(input).unwrap() {
             ParsedGraph::Plain(g) => assert_eq!(g.num_nodes(), 6),
             _ => panic!(),
         }
@@ -205,22 +214,19 @@ mod tests {
     #[test]
     fn parse_errors_carry_line_numbers() {
         let bad_arity = b"0 1 0.5 9\n" as &[u8];
-        match read_graph(bad_arity) {
+        match read(bad_arity) {
             Err(GraphError::Parse { line: 1, .. }) => {}
             other => panic!("{other:?}"),
         }
         let mixed = b"0 1\n1 2 0.5\n" as &[u8];
-        match read_graph(mixed) {
+        match read(mixed) {
             Err(GraphError::Parse { line: 2, message }) => {
                 assert!(message.contains("mixed"))
             }
             other => panic!("{other:?}"),
         }
         let bad_prob = b"0 1 nope\n" as &[u8];
-        assert!(matches!(
-            read_graph(bad_prob),
-            Err(GraphError::Parse { .. })
-        ));
+        assert!(matches!(read(bad_prob), Err(GraphError::Parse { .. })));
     }
 
     #[test]
@@ -235,7 +241,7 @@ mod tests {
             ("0\t1\t0\n", 1),
             ("0\t1\t-0.25\n", 1),
         ] {
-            match read_graph(bad.as_bytes()) {
+            match read(bad.as_bytes()) {
                 Err(GraphError::Parse { line: l, message }) => {
                     assert_eq!(l, line, "{bad:?}");
                     assert!(message.contains("probability"), "{bad:?}: {message}");
@@ -248,7 +254,7 @@ mod tests {
     #[test]
     fn duplicate_nodes_header_is_rejected() {
         let input = b"# nodes: 5\n0\t1\n# nodes: 9\n" as &[u8];
-        match read_graph(input) {
+        match read(input) {
             Err(GraphError::Parse { line: 3, message }) => {
                 assert!(message.contains("duplicate"), "{message}")
             }
@@ -260,7 +266,7 @@ mod tests {
     fn node_ids_beyond_declared_count_are_rejected() {
         // Header first: the edge line is flagged.
         let input = b"# nodes: 3\n0\t7\n" as &[u8];
-        match read_graph(input) {
+        match read(input) {
             Err(GraphError::Parse { line: 2, message }) => {
                 assert!(message.contains("declared node count"), "{message}")
             }
@@ -268,7 +274,7 @@ mod tests {
         }
         // Header after the edges: the header line is flagged.
         let input = b"0\t7\n# nodes: 3\n" as &[u8];
-        match read_graph(input) {
+        match read(input) {
             Err(GraphError::Parse { line: 2, message }) => {
                 assert!(message.contains("contradicts"), "{message}")
             }
@@ -279,7 +285,7 @@ mod tests {
     #[test]
     fn truncated_lines_are_rejected() {
         for (bad, line) in [("0\n", 1), ("0\t1\t0.5\n1\n", 2), ("0 1 0.5 7 9\n", 1)] {
-            match read_graph(bad.as_bytes()) {
+            match read(bad.as_bytes()) {
                 Err(GraphError::Parse { line: l, message }) => {
                     assert_eq!(l, line, "{bad:?}");
                     assert!(message.contains("fields"), "{bad:?}: {message}");
@@ -301,7 +307,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_graph() {
-        match read_graph(b"" as &[u8]).unwrap() {
+        match read(b"" as &[u8]).unwrap() {
             ParsedGraph::Plain(g) => assert_eq!(g.num_nodes(), 0),
             _ => panic!(),
         }
@@ -329,7 +335,7 @@ mod tests {
                 let pg = b.build_prob().unwrap();
                 let mut buf = Vec::new();
                 write_prob_graph(&pg, &mut buf).unwrap();
-                match read_graph(&buf[..]).unwrap() {
+                match super::read(&buf[..]).unwrap() {
                     ParsedGraph::Probabilistic(back) => assert_eq!(back, pg, "case {case}"),
                     ParsedGraph::Plain(_) => {
                         // A graph with zero arcs parses as plain; that is
@@ -357,7 +363,7 @@ mod tests {
                 let g = b.build().unwrap();
                 let mut buf = Vec::new();
                 write_graph(&g, &mut buf).unwrap();
-                match read_graph(&buf[..]).unwrap() {
+                match super::read(&buf[..]).unwrap() {
                     ParsedGraph::Plain(back) => assert_eq!(back, g, "case {case}"),
                     ParsedGraph::Probabilistic(_) => panic!("variant flip (case {case})"),
                 }
@@ -368,7 +374,7 @@ mod tests {
     #[test]
     fn comments_and_blanks_ignored() {
         let input = b"# hello\n\n0 1\n# trailing\n" as &[u8];
-        match read_graph(input).unwrap() {
+        match read(input).unwrap() {
             ParsedGraph::Plain(g) => assert_eq!(g.num_edges(), 1),
             _ => panic!(),
         }

@@ -1,14 +1,20 @@
-//! Transitive closure and transitive reduction of DAGs.
+//! Transitive reduction of DAGs.
 //!
 //! Algorithm 1 of the paper stores, for each sampled possible world, the
 //! transitive *reduction* of its SCC condensation: the unique minimal DAG
 //! with the same reachability (Aho, Garey & Ullman, SIAM J. Comput. 1972).
-//! We compute descendant sets bottom-up in topological order as bitset rows
-//! (the closure), then drop every arc `(u, v)` for which some other direct
-//! successor of `u` already reaches `v`.
+//! An arc `(u, v)` is dropped iff some other direct successor of `u`
+//! already reaches `v`.
+//!
+//! Such an arc can exist only if `u` has at least two out-arcs and `v` at
+//! least two in-arcs (the other successor's path ends in a second arc
+//! into `v`). Only those heads, the *candidate targets*, get a column in
+//! the bottom-up reachability bitsets, so the cost follows the arcs that
+//! could be removed rather than the square of the node count: in sampled
+//! worlds of sparse graphs only a small share of the components are
+//! candidates.
 
 use crate::{DiGraph, NodeId};
-use soi_util::BitSet;
 
 /// A topological order of a DAG (Kahn's algorithm).
 ///
@@ -34,65 +40,135 @@ pub fn topological_order(g: &DiGraph) -> Option<Vec<NodeId>> {
     (order.len() == n).then_some(order)
 }
 
-/// The transitive closure of a DAG as one bitset row per node.
-///
-/// `closure[v]` contains every node reachable from `v` by a path of length
-/// ≥ 1 (`v` itself only if it lies on a cycle, which a DAG forbids — so
-/// never). Memory is `O(n² / 64)`; intended for condensation DAGs, whose
-/// size is far below the original graph's.
-pub fn transitive_closure(g: &DiGraph) -> Option<Vec<BitSet>> {
-    let n = g.num_nodes();
-    let order = topological_order(g)?;
-    let mut closure: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-    // Process in reverse topological order so successors are final.
-    for &v in order.iter().rev() {
-        // Collect into a scratch row first to avoid aliasing `closure[v]`
-        // with `closure[w]`.
-        let mut row = BitSet::new(n);
-        for &w in g.out_neighbors(v) {
-            row.insert(w as usize);
-            row.union_with(&closure[w as usize]);
-        }
-        closure[v as usize] = row;
-    }
-    Some(closure)
-}
+/// Column marker for nodes that are not candidate targets.
+const NO_COLUMN: usize = usize::MAX;
 
 /// The transitive reduction of a DAG.
 ///
 /// Keeps arc `(u, v)` iff no other direct successor `w` of `u` reaches `v`.
 /// For DAGs this produces the unique minimum-arc graph with identical
 /// reachability. Returns `None` on cyclic input.
+///
+/// Time is `O(n + m)` plus `O(m · |T| / 64)` word operations and memory
+/// `O(n · |T| / 64)` words, where `T` is the set of candidate targets
+/// (heads with in-degree ≥ 2 of some tail with out-degree ≥ 2).
 pub fn transitive_reduction(g: &DiGraph) -> Option<DiGraph> {
-    let closure = transitive_closure(g)?;
-    let mut kept: Vec<(NodeId, NodeId)> = Vec::new();
+    let order = topological_order(g)?;
+    let n = g.num_nodes();
+
+    let in_deg = g.in_degrees();
+    let mut column = vec![NO_COLUMN; n];
+    let mut num_columns = 0usize;
     for u in g.nodes() {
         let succs = g.out_neighbors(u);
+        if succs.len() < 2 {
+            continue;
+        }
         for &v in succs {
-            let redundant = succs
-                .iter()
-                .any(|&w| w != v && closure[w as usize].contains(v as usize));
-            if !redundant {
-                kept.push((u, v));
+            if in_deg[v as usize] >= 2 && column[v as usize] == NO_COLUMN {
+                column[v as usize] = num_columns;
+                num_columns += 1;
             }
         }
     }
-    // `kept` is a subset of g's arcs, so every id is already in range.
-    // xtask-allow: panic_policy
-    Some(DiGraph::from_edges(g.num_nodes(), &kept).expect("nodes unchanged"))
-}
+    if num_columns == 0 {
+        return Some(g.clone());
+    }
 
-/// Number of reachable nodes from each node (closure row popcounts),
-/// excluding the node itself.
-pub fn descendant_counts(g: &DiGraph) -> Option<Vec<usize>> {
-    let closure = transitive_closure(g)?;
-    Some(closure.iter().map(|row| row.len()).collect())
+    // One row of candidate-target bits per node: the candidates reachable
+    // from it by a path of length >= 1. Rows are laid out in reverse
+    // topological order, so every successor's row is complete and sits
+    // before the row being filled.
+    let words = num_columns.div_ceil(64);
+    let mut rows = vec![0u64; n * words];
+    let mut row_of = vec![0usize; n];
+    let mut kept = vec![true; g.num_edges()];
+    for (i, &u) in order.iter().rev().enumerate() {
+        row_of[u as usize] = i;
+        let (done, rest) = rows.split_at_mut(i * words);
+        let row = &mut rest[..words];
+        let succs = g.out_neighbors(u);
+        for &w in succs {
+            let start = row_of[w as usize] * words;
+            for (acc, &bits) in row.iter_mut().zip(&done[start..start + words]) {
+                *acc |= bits;
+            }
+        }
+        // `row` now holds what the successors reach. A DAG node never
+        // reaches itself, so a successor `v` found here is reached through
+        // some other successor: the arc `(u, v)` is redundant.
+        for (e, &v) in g.edge_range(u).zip(succs) {
+            let c = column[v as usize];
+            if c != NO_COLUMN && row[c / 64] & (1 << (c % 64)) != 0 {
+                kept[e] = false;
+            }
+        }
+        for &v in succs {
+            let c = column[v as usize];
+            if c != NO_COLUMN {
+                row[c / 64] |= 1 << (c % 64);
+            }
+        }
+    }
+
+    let (offsets, targets) = g.csr_parts();
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    let mut new_targets = Vec::with_capacity(g.num_edges());
+    new_offsets.push(0);
+    for u in 0..n {
+        for e in offsets[u]..offsets[u + 1] {
+            if kept[e] {
+                new_targets.push(targets[e]);
+            }
+        }
+        new_offsets.push(new_targets.len());
+    }
+    // A subsequence of each sorted neighbour list stays sorted.
+    Some(DiGraph::from_csr_parts(new_offsets, new_targets))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{gen, scc::Condensation};
     use soi_util::rng::{Rng, Xoshiro256pp};
+    use soi_util::BitSet;
+
+    /// The transitive closure as one full bitset row per node: `closure[v]`
+    /// holds every node reachable from `v` by a path of length >= 1.
+    fn transitive_closure(g: &DiGraph) -> Option<Vec<BitSet>> {
+        let n = g.num_nodes();
+        let order = topological_order(g)?;
+        let mut closure: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+        for &v in order.iter().rev() {
+            let mut row = BitSet::new(n);
+            for &w in g.out_neighbors(v) {
+                row.insert(w as usize);
+                row.union_with(&closure[w as usize]);
+            }
+            closure[v as usize] = row;
+        }
+        Some(closure)
+    }
+
+    /// Reference oracle: the full-closure reduction, testing every arc
+    /// against every other successor's closure row.
+    fn reference_reduction(g: &DiGraph) -> Option<DiGraph> {
+        let closure = transitive_closure(g)?;
+        let mut kept: Vec<(NodeId, NodeId)> = Vec::new();
+        for u in g.nodes() {
+            let succs = g.out_neighbors(u);
+            for &v in succs {
+                let redundant = succs
+                    .iter()
+                    .any(|&w| w != v && closure[w as usize].contains(v as usize));
+                if !redundant {
+                    kept.push((u, v));
+                }
+            }
+        }
+        Some(DiGraph::from_edges(g.num_nodes(), &kept).unwrap())
+    }
 
     fn diamond_with_shortcut() -> DiGraph {
         // 0->1->3, 0->2->3, plus redundant shortcut 0->3.
@@ -111,9 +187,12 @@ mod tests {
 
     #[test]
     fn topo_order_detects_cycles() {
+        // A 2-cycle has no candidate target; the cycle check still runs.
         let g = DiGraph::from_edges(2, &[(0, 1), (1, 0)]).unwrap();
         assert!(topological_order(&g).is_none());
         assert!(transitive_closure(&g).is_none());
+        assert!(transitive_reduction(&g).is_none());
+        let g = DiGraph::from_edges(3, &[(0, 1), (0, 2), (1, 2), (2, 0)]).unwrap();
         assert!(transitive_reduction(&g).is_none());
     }
 
@@ -149,52 +228,114 @@ mod tests {
         assert_eq!(r.num_edges(), 3);
     }
 
-    #[test]
-    fn descendant_counts_work() {
-        let g = diamond_with_shortcut();
-        let counts = descendant_counts(&g).unwrap();
-        assert_eq!(counts, vec![3, 1, 1, 0]);
-    }
-
-    /// Builds a random DAG by orienting random pairs from low to high id.
-    fn random_dag(n: usize, arcs: &[(u8, u8)]) -> DiGraph {
-        let edges: Vec<(NodeId, NodeId)> = arcs
+    /// Orients every pair from low to high id, which makes any arc list a
+    /// DAG. Parallel arcs are kept unless `dedup`.
+    fn dag_from_pairs(n: usize, pairs: &[(usize, usize)], dedup: bool) -> DiGraph {
+        let mut arcs: Vec<(NodeId, NodeId)> = pairs
             .iter()
-            .map(|&(a, b)| {
-                let (a, b) = (a as usize % n, b as usize % n);
-                (a.min(b) as NodeId, a.max(b) as NodeId)
-            })
-            .filter(|&(a, b)| a != b)
+            .filter(|&&(a, b)| a != b)
+            .map(|&(a, b)| (a.min(b) as NodeId, a.max(b) as NodeId))
             .collect();
-        let mut dedup = edges;
-        dedup.sort_unstable();
-        dedup.dedup();
-        DiGraph::from_edges(n, &dedup).unwrap()
+        if dedup {
+            arcs.sort_unstable();
+            arcs.dedup();
+        }
+        DiGraph::from_edges(n, &arcs).unwrap()
     }
 
-    /// Draws a random arc list for [`random_dag`] from a derived stream.
-    fn random_arcs(case: u64, ids: u8, max_len: usize) -> Vec<(u8, u8)> {
-        let mut rng = Xoshiro256pp::from_stream(0x07A1_1DA6, case);
-        let len = rng.random_range(0usize..max_len);
-        (0..len)
-            .map(|_| (rng.random_range(0u8..ids), rng.random_range(0u8..ids)))
-            .collect()
+    /// A random DAG on `n` nodes with up to `max_arcs` drawn pairs.
+    fn random_dag(rng: &mut Xoshiro256pp, n: usize, max_arcs: usize, dedup: bool) -> DiGraph {
+        let len = rng.random_range(0..max_arcs + 1);
+        let pairs: Vec<(usize, usize)> = (0..len)
+            .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+            .collect();
+        dag_from_pairs(n, &pairs, dedup)
     }
 
-    /// Transitive reduction preserves the closure exactly and never has
-    /// more arcs than the input. (Property test over 32 seeded cases.)
+    /// A random tree on `n` nodes, arcs pointing away from the root or,
+    /// if `inward`, towards it. Either way no arc can be redundant.
+    fn random_tree(rng: &mut Xoshiro256pp, n: usize, inward: bool) -> DiGraph {
+        let arcs: Vec<(NodeId, NodeId)> = (1..n)
+            .map(|v| {
+                let parent = rng.random_range(0..v) as NodeId;
+                if inward {
+                    (v as NodeId, parent)
+                } else {
+                    (parent, v as NodeId)
+                }
+            })
+            .collect();
+        DiGraph::from_edges(n, &arcs).unwrap()
+    }
+
+    /// The condensation of a possible world: every arc of `g` kept with
+    /// probability `p`, then SCCs contracted.
+    fn world_condensation(rng: &mut Xoshiro256pp, g: &DiGraph, p: f64) -> DiGraph {
+        let live: Vec<(NodeId, NodeId)> = g.edges().filter(|_| rng.random::<f64>() < p).collect();
+        Condensation::new(&DiGraph::from_edges(g.num_nodes(), &live).unwrap()).dag
+    }
+
+    /// Every node `i` points at every `j > i`.
+    fn complete_dag(n: usize) -> DiGraph {
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .collect();
+        dag_from_pairs(n, &pairs, false)
+    }
+
+    /// Seeded property test over inputs from trivial to dense: the
+    /// reduction equals the full-closure reference (CSR-equal), never has
+    /// more arcs than the input, and preserves the closure exactly.
+    /// Inputs with no candidate target come back unchanged.
     #[test]
     fn reduction_preserves_reachability() {
+        let mut inputs: Vec<(String, DiGraph, bool)> = vec![
+            ("empty".into(), DiGraph::empty(0), true),
+            ("single".into(), DiGraph::empty(1), true),
+            ("isolated".into(), DiGraph::empty(5), true),
+            ("chain".into(), gen::path(40), true),
+            ("star".into(), gen::star(30), true),
+        ];
+        for n in [2usize, 3, 8, 33, 64, 65, 130] {
+            inputs.push((format!("complete_{n}"), complete_dag(n), n < 3));
+        }
         for case in 0..32u64 {
-            let arcs = random_arcs(case, 20, 60);
-            let n = 20;
-            let g = random_dag(n, &arcs);
-            let r = transitive_reduction(&g).unwrap();
-            assert!(r.num_edges() <= g.num_edges(), "case {case}");
-            let cg = transitive_closure(&g).unwrap();
+            let mut rng = Xoshiro256pp::from_stream(0x07A1_1DA6, case);
+            let n = rng.random_range(1usize..120);
+            let out_tree = random_tree(&mut rng, n, false);
+            let in_tree = random_tree(&mut rng, n, true);
+            let sparse = random_dag(&mut rng, 20, 60, true);
+            let parallel = random_dag(&mut rng, 12, 40, false);
+            let dense_n = rng.random_range(2usize..150);
+            let dense = random_dag(&mut rng, dense_n, dense_n * dense_n / 3, true);
+            let base = if case % 2 == 0 {
+                gen::barabasi_albert(300, 3, true, &mut rng)
+            } else {
+                gen::gnm(300, 1_800, &mut rng)
+            };
+            let p = [0.05, 0.15, 0.3, 0.6][case as usize % 4];
+            let world = world_condensation(&mut rng, &base, p);
+            inputs.extend([
+                (format!("out_tree {case}"), out_tree, true),
+                (format!("in_tree {case}"), in_tree, true),
+                (format!("sparse {case}"), sparse, false),
+                (format!("parallel {case}"), parallel, false),
+                (format!("dense {case}"), dense, false),
+                (format!("world {case} p={p}"), world, false),
+            ]);
+        }
+
+        for (name, g, candidate_free) in &inputs {
+            let r = transitive_reduction(g).unwrap();
+            assert_eq!(r, reference_reduction(g).unwrap(), "{name}");
+            assert!(r.num_edges() <= g.num_edges(), "{name}");
+            if *candidate_free {
+                assert_eq!(&r, g, "{name}");
+            }
+            let cg = transitive_closure(g).unwrap();
             let cr = transitive_closure(&r).unwrap();
-            for v in 0..n {
-                assert_eq!(cg[v].to_vec_u32(), cr[v].to_vec_u32(), "case {case}");
+            for v in 0..g.num_nodes() {
+                assert_eq!(cg[v].to_vec_u32(), cr[v].to_vec_u32(), "{name}");
             }
         }
     }
@@ -203,9 +344,9 @@ mod tests {
     #[test]
     fn reduction_is_minimal() {
         for case in 0..32u64 {
-            let arcs = random_arcs(case, 12, 30);
+            let mut rng = Xoshiro256pp::from_stream(0x07A1_1DA6, case);
             let n = 12;
-            let g = random_dag(n, &arcs);
+            let g = random_dag(&mut rng, n, 30, true);
             let r = transitive_reduction(&g).unwrap();
             let arcs: Vec<_> = r.edges().collect();
             for skip in 0..arcs.len() {

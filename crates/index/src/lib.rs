@@ -670,6 +670,59 @@ mod tests {
         assert!(re <= fe + 1e-9, "{re} > {fe}");
     }
 
+    /// Reference reduction by direct search: arc `(u, v)` stays iff no
+    /// path of two or more arcs leads from `u` to `v`, found by a DFS from
+    /// `u`'s grandchildren. A lone out-arc has nothing to bypass it.
+    fn reference_reduction(dag: &DiGraph) -> DiGraph {
+        let mut reach = Reachability::new(dag.num_nodes());
+        let mut far = Vec::new();
+        let mut kept = Vec::new();
+        for u in dag.nodes() {
+            let succs = dag.out_neighbors(u);
+            if succs.len() < 2 {
+                kept.extend(succs.iter().map(|&v| (u, v)));
+                continue;
+            }
+            let grandchildren: Vec<NodeId> = succs
+                .iter()
+                .flat_map(|&w| dag.out_neighbors(w))
+                .copied()
+                .collect();
+            reach.multi_source(dag, &grandchildren, &mut far);
+            far.sort_unstable();
+            kept.extend(
+                succs
+                    .iter()
+                    .filter(|v| far.binary_search(v).is_err())
+                    .map(|&v| (u, v)),
+            );
+        }
+        DiGraph::from_edges(dag.num_nodes(), &kept).unwrap()
+    }
+
+    #[test]
+    fn stored_dags_match_reference_reduction() {
+        let mut rng = soi_util::rng::Xoshiro256pp::seed_from_u64(41);
+        let pg = ProbGraph::weighted_cascade(gen::barabasi_albert(2_000, 3, true, &mut rng));
+        let config = IndexConfig {
+            num_worlds: 32,
+            seed: 42,
+            transitive_reduction: true,
+            threads: 2,
+        };
+        let index = CascadeIndex::build(&pg, config);
+        let mut sampler = WorldSampler::new();
+        for i in 0..32 {
+            let world = sampler.sample(&pg, &mut world_rng(42, i));
+            let cond = Condensation::new(&world);
+            assert_eq!(
+                index.world(i).dag,
+                reference_reduction(&cond.dag),
+                "world {i}"
+            );
+        }
+    }
+
     #[test]
     fn cascade_size_matches_materialization() {
         let pg = test_graph(4);
